@@ -400,6 +400,14 @@ func newWireStub(b *testing.B, payload interface{}) *wireStub {
 	return &wireStub{resp: append([]byte(head), env...)}
 }
 
+// client returns a wire client whose every connection reaches the stub,
+// closed when the benchmark ends.
+func (s *wireStub) client(b *testing.B) *WireClient {
+	c := NewWireClient(WireOptions{Dial: s.dial})
+	b.Cleanup(func() { _ = c.Close() })
+	return c
+}
+
 func (s *wireStub) dial(ctx context.Context, network, addr string) (net.Conn, error) {
 	client, server := net.Pipe()
 	go s.serve(server)
@@ -489,7 +497,7 @@ type benchTransport int
 
 const (
 	viaWire    benchTransport = iota // default path: wire client over in-memory pipes
-	viaNetHTTP                       // fallback path: net/http client over a stub RoundTripper
+	viaNetHTTP                       // fallback path: https releases via the wire client's net/http fallback over a stub RoundTripper
 )
 
 // benchLogCapacity bounds the in-process engines' event-log ring. The
@@ -503,11 +511,16 @@ const benchLogCapacity = 256
 // transitions, so benchmarks start where they measure).
 func newInProcessEngine(b *testing.B, n int, mode Mode, quorum int, phase Phase, via benchTransport) *Engine {
 	b.Helper()
+	// The wire client hands https:// releases to its net/http fallback.
+	scheme := "http"
+	if via == viaNetHTTP {
+		scheme = "https"
+	}
 	eps := make([]Endpoint, n)
 	for i := range eps {
 		eps[i] = Endpoint{
 			Version: fmt.Sprintf("1.%d", i),
-			URL:     fmt.Sprintf("http://release-%d.invalid", i),
+			URL:     fmt.Sprintf("%s://release-%d.invalid", scheme, i),
 		}
 	}
 	cfg := EngineConfig{
@@ -519,13 +532,14 @@ func newInProcessEngine(b *testing.B, n int, mode Mode, quorum int, phase Phase,
 	}
 	switch via {
 	case viaWire:
-		cfg.Dial = newWireStub(b, service.AddResponse{Sum: 3}).dial
+		cfg.Wire = newWireStub(b, service.AddResponse{Sum: 3}).client(b)
 	case viaNetHTTP:
 		respEnv, err := soap.Envelope(service.AddResponse{Sum: 3})
 		if err != nil {
 			b.Fatal(err)
 		}
-		cfg.HTTP = &http.Client{Transport: &stubTransport{resp: respEnv}}
+		cfg.Wire = NewWireClient(WireOptions{Fallback: &http.Client{Transport: &stubTransport{resp: respEnv}}})
+		b.Cleanup(func() { _ = cfg.Wire.Close() })
 	}
 	engine, err := NewEngine(cfg)
 	if err != nil {
@@ -667,7 +681,7 @@ func BenchmarkEngineInProcess(b *testing.B) {
 			InitialPhase: PhaseOldOnly,
 			Codec:        jsoncodec.Default,
 			Monitor:      NewMonitor(monitor.WithLogCapacity(benchLogCapacity)),
-			Dial:         stub.dial,
+			Wire:         stub.client(b),
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -731,7 +745,7 @@ func BenchmarkEngineInProcessModes(b *testing.B) {
 // hosting N units behind one listener — budgeted at ≤ 1 µs/op and
 // ≤ 5 allocs/op.
 func BenchmarkFleetInProcess(b *testing.B) {
-	stub := newWireStub(b, service.AddResponse{Sum: 3})
+	wire := newWireStub(b, service.AddResponse{Sum: 3}).client(b)
 	unitEngine := func(prefix string) EngineConfig {
 		return EngineConfig{
 			Releases: []Endpoint{
@@ -739,7 +753,7 @@ func BenchmarkFleetInProcess(b *testing.B) {
 				{Version: "1.1", URL: "http://" + prefix + "-new.invalid"},
 			},
 			InitialPhase: PhaseOldOnly,
-			Dial:         stub.dial,
+			Wire:         wire,
 			Monitor:      NewMonitor(monitor.WithLogCapacity(benchLogCapacity)),
 		}
 	}

@@ -114,19 +114,15 @@ type unitParams struct {
 	// operations and the /wsdl contract; confidence publishes over the
 	// X-Wsupgrade-Confidence HTTP header instead.
 	Protocol string
-	// UseNetHTTP forces the net/http release transport instead of the
-	// default wire client (TLS, proxies, exotic deployments).
-	UseNetHTTP bool
 }
 
 // engineConfig translates unit parameters into a core.Config. The
 // returned closer owns the JSONL log file, if any.
 func engineConfig(p unitParams) (core.Config, io.Closer, error) {
 	cfg := core.Config{
-		Releases:   p.Releases,
-		Timeout:    p.Timeout,
-		Quorum:     p.Quorum,
-		UseNetHTTP: p.UseNetHTTP,
+		Releases: p.Releases,
+		Timeout:  p.Timeout,
+		Quorum:   p.Quorum,
 	}
 	if len(p.Releases) == 0 {
 		return cfg, nil, fmt.Errorf("at least one release is required")
@@ -252,12 +248,10 @@ type fleetUnit struct {
 	Oracle     string          `json:"oracle,omitempty"`
 	Protocol   string          `json:"protocol,omitempty"`
 	Log        string          `json:"log,omitempty"`
-	UseNetHTTP bool            `json:"useNetHTTP,omitempty"`
 }
 
 // loadFleetConfig builds the fleet configuration from a JSON file.
-// netHTTP forces the net/http release transport on every unit.
-func loadFleetConfig(path string, defaultTarget float64, netHTTP bool) (fleet.Config, []io.Closer, error) {
+func loadFleetConfig(path string, defaultTarget float64) (fleet.Config, []io.Closer, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return fleet.Config{}, nil, fmt.Errorf("reading fleet config: %w", err)
@@ -295,7 +289,6 @@ func loadFleetConfig(path string, defaultTarget float64, netHTTP bool) (fleet.Co
 			Oracle:     u.Oracle,
 			Protocol:   u.Protocol,
 			LogPath:    u.Log,
-			UseNetHTTP: u.UseNetHTTP || netHTTP,
 		})
 		if err != nil {
 			closeAll()
@@ -378,7 +371,6 @@ func run(ctx context.Context, args []string) error {
 		protoName  = fs.String("protocol", "soap", "wire protocol of the mediated unit: soap|json")
 		adminToken = fs.String("admin-token", "", "fleet mode: token guarding the /fleet/ admin API (overrides the config's adminToken)")
 		drain      = fs.Duration("drain", 10*time.Second, "graceful-shutdown drain budget")
-		netHTTP    = fs.Bool("net-http", false, "use the net/http release transport instead of the default wire client (TLS, proxies)")
 		journalDir = fs.String("journal-dir", "", "directory for durable campaign journals; a restart resumes each unit's phase and posterior from its journal")
 		snapEvery  = fs.Duration("snapshot-interval", fleet.DefaultSnapshotInterval, "journal snapshot cadence (with -journal-dir)")
 		addrFile   = fs.String("addr-file", "", "write the bound listener address to this file (for wrappers that start on :0)")
@@ -393,7 +385,7 @@ func run(ctx context.Context, args []string) error {
 		banner  string
 	)
 	if *fleetPath != "" {
-		cfg, logClosers, err := loadFleetConfig(*fleetPath, *target, *netHTTP)
+		cfg, logClosers, err := loadFleetConfig(*fleetPath, *target)
 		if err != nil {
 			return err
 		}
@@ -433,7 +425,6 @@ func run(ctx context.Context, args []string) error {
 			Oracle:     *oracleName,
 			Protocol:   *protoName,
 			LogPath:    *logPath,
-			UseNetHTTP: *netHTTP,
 		})
 		if err != nil {
 			return err

@@ -47,7 +47,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"net"
 	"net/http"
 	"strconv"
 	"strings"
@@ -167,22 +166,11 @@ type Config struct {
 	Contract *wsdl.Contract
 	// Monitor overrides the monitoring subsystem (default monitor.New()).
 	Monitor *monitor.Monitor
-	// HTTP overrides the release-call transport with a net/http client.
-	// When nil (and UseNetHTTP is false) release calls go over the
-	// internal/wire client — the lean HTTP/1.1 dispatch transport with
-	// per-endpoint connection pools. Set HTTP (or UseNetHTTP) for TLS,
-	// proxies or any other case that needs the full net/http stack.
-	HTTP *http.Client
-	// UseNetHTTP forces the net/http fallback transport (an
-	// httpx.NewPooledClient) even when HTTP is nil.
-	UseNetHTTP bool
-	// Dial overrides the wire transport's connection establishment
-	// (in-memory benchmarks and tests). Ignored when HTTP or UseNetHTTP
-	// selects the net/http path.
-	Dial func(ctx context.Context, network, addr string) (net.Conn, error)
-	// Wire injects a shared wire client (the fleet's cross-unit pool);
-	// nil means the engine builds and owns one. Ignored when HTTP or
-	// UseNetHTTP selects the net/http path.
+	// Wire is the release-call transport; nil means the engine builds
+	// and owns one. An injected client (a fleet's cross-unit pool, or a
+	// test's in-memory dialer) stays the caller's: Close leaves it open.
+	// Its Fallback serves TLS and proxied endpoints and the engine's
+	// health probes.
 	Wire *wire.Client
 	// Seed drives adjudication tie-breaking.
 	Seed uint64
@@ -262,14 +250,9 @@ func deliveryRule(phase Phase, oldest, newest Endpoint, adj adjudicate.Adjudicat
 // (the SOAP endpoint); Handler() adds /wsdl and /healthz.
 // Construct with New; call Close to drain background monitoring work.
 type Engine struct {
-	cfg    Config
-	client *http.Client
-	// ownsClient marks an engine-built client whose pooled transport
-	// Close must shut down (a caller-supplied Config.HTTP is theirs).
-	ownsClient bool
-	// wire is the lean dispatch transport (nil on the net/http path);
-	// ownsWire marks one built (and closed) by this engine rather than
-	// injected by a fleet.
+	cfg Config
+	// wire is the release-call transport; ownsWire marks one built (and
+	// closed) by this engine rather than injected through Config.Wire.
 	wire      *wire.Client
 	ownsWire  bool
 	adjudic   adjudicate.Adjudicator
@@ -426,46 +409,13 @@ func New(cfg Config) (*Engine, error) {
 		deliver:   deliveryRule(cfg.InitialPhase, releases[0], releases[len(releases)-1], cfg.Adjudicator),
 		winnerHdr: winnerHeaders(releases),
 	})
-	var post dispatch.PostFunc
-	switch {
-	case cfg.HTTP != nil:
-		e.client = cfg.HTTP
-	case cfg.UseNetHTTP:
-		// The net/http fallback: a dedicated pooled transport
-		// (http.DefaultTransport keeps only 2 idle connections per host,
-		// so parallel fan-out to the same release endpoint would re-dial
-		// on every burst).
-		e.client = httpx.NewPooledClient(cfg.Timeout+500*time.Millisecond, len(cfg.Releases))
-		e.ownsClient = true
-	default:
-		// The wire transport: release calls bypass net/http entirely.
-		if cfg.Wire != nil {
-			e.wire = cfg.Wire
-			// Management traffic (health probes) is low-rate; a plain
-			// shared-transport client suffices when the wire client (and
-			// its fallback) belong to a fleet.
-			e.client = httpx.NewClient(cfg.Timeout + 500*time.Millisecond)
-		} else {
-			// The pooled net/http client does double duty: it is the wire
-			// client's fallback for endpoints wire does not speak natively
-			// (https — a TLS release must keep PR 2's per-host idle pool,
-			// not starve on http.DefaultClient), and the engine's own
-			// management/probe client.
-			fallback := httpx.NewPooledClient(cfg.Timeout+500*time.Millisecond, len(cfg.Releases))
-			e.wire = wire.NewClient(wire.Options{
-				Dial:     cfg.Dial,
-				Timeout:  cfg.Timeout + 500*time.Millisecond,
-				Fallback: fallback,
-			})
-			e.ownsWire = true
-			e.client = fallback
-			e.ownsClient = true
-		}
-		post = e.wire.PostXML
+	e.wire = cfg.Wire
+	if e.wire == nil {
+		e.wire = wire.NewClient(wire.Options{Timeout: cfg.Timeout + 500*time.Millisecond})
+		e.ownsWire = true
 	}
 	e.disp = dispatch.New(dispatch.Config{
-		Post:      post,
-		Client:    e.client,
+		Post:      e.wire.PostXML,
 		Retry:     cfg.Retry,
 		Seed:      cfg.Seed,
 		OnOutcome: e.recordOutcome,
@@ -493,9 +443,6 @@ func New(cfg Config) (*Engine, error) {
 // 90 s idle timeout). The engine must not serve new requests afterwards.
 func (e *Engine) Close() error {
 	err := e.disp.Close()
-	if e.ownsClient {
-		e.client.CloseIdleConnections()
-	}
 	if e.ownsWire {
 		_ = e.wire.Close()
 	}
@@ -723,7 +670,7 @@ func (e *Engine) probe(ctx context.Context, rel Endpoint) Health {
 		h.Err = err
 		return h
 	}
-	resp, err := e.client.Do(req)
+	resp, err := e.wire.Fallback().Do(req)
 	if err != nil {
 		h.Err = err
 		return h

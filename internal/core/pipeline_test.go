@@ -1,7 +1,7 @@
 package core
 
-// Tests for the PR-2 request/transport pipeline: the pooled default
-// client, the WSDL scheme derivation, the contract-guarded "<op>Conf"
+// Tests for the request/transport pipeline: the engine's wire client
+// and its pooled fallback, the WSDL scheme derivation, the contract-guarded "<op>Conf"
 // routing, and the single-target dispatch fast path.
 
 import (
@@ -19,12 +19,12 @@ import (
 	"wsupgrade/internal/oracle"
 	"wsupgrade/internal/service"
 	"wsupgrade/internal/soap"
+	"wsupgrade/internal/wire"
 	"wsupgrade/internal/wsdl"
 )
 
 // The engine's default release transport is the wire client, owned and
-// closed by the engine; a plain management client remains for health
-// probes.
+// closed by the engine; its fallback serves the health probes.
 func TestDefaultTransportIsWire(t *testing.T) {
 	e, err := New(Config{Releases: []Endpoint{
 		{Version: "1.0", URL: "http://a.invalid"},
@@ -37,56 +37,107 @@ func TestDefaultTransportIsWire(t *testing.T) {
 	if e.wire == nil || !e.ownsWire {
 		t.Fatalf("default transport: wire=%v ownsWire=%v, want an owned wire client", e.wire != nil, e.ownsWire)
 	}
-	if e.client == nil {
-		t.Fatal("no management client for health probes")
+	if e.wire.Fallback() == nil {
+		t.Fatal("no fallback client for TLS releases and health probes")
 	}
 }
 
-// The UseNetHTTP fallback must carry the tuned pooled transport:
-// http.DefaultTransport keeps only 2 idle connections per host, which
-// starves parallel fan-out to the same release endpoint.
+// The wire client the engine builds must carry the tuned pooled
+// fallback: http.DefaultTransport keeps only 2 idle connections per
+// host, which starves parallel fan-out to the same TLS release.
 func TestNetHTTPFallbackUsesPooledTransport(t *testing.T) {
 	e, err := New(Config{
 		Releases: []Endpoint{
-			{Version: "1.0", URL: "http://a.invalid"},
-			{Version: "1.1", URL: "http://b.invalid"},
+			{Version: "1.0", URL: "https://a.invalid"},
+			{Version: "1.1", URL: "https://b.invalid"},
 		},
-		UseNetHTTP: true,
+		Timeout: time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { _ = e.Close() }()
-	if e.wire != nil {
-		t.Fatal("UseNetHTTP built a wire client")
-	}
-	transport, ok := e.client.Transport.(*http.Transport)
+	fallback := e.wire.Fallback()
+	transport, ok := fallback.Transport.(*http.Transport)
 	if !ok {
-		t.Fatalf("fallback client transport is %T, want *http.Transport", e.client.Transport)
+		t.Fatalf("fallback client transport is %T, want *http.Transport", fallback.Transport)
 	}
-	if transport.MaxIdleConnsPerHost < 8 {
+	if transport.MaxIdleConnsPerHost != httpx.DefaultMaxIdleConnsPerHost {
 		t.Fatalf("MaxIdleConnsPerHost = %d; fan-out would thrash connections", transport.MaxIdleConnsPerHost)
 	}
-	if transport.MaxIdleConns < 2*transport.MaxIdleConnsPerHost {
-		t.Fatalf("MaxIdleConns = %d not sized for %d release hosts", transport.MaxIdleConns, 2)
+	if transport.MaxIdleConns != 0 {
+		t.Fatalf("MaxIdleConns = %d; the total idle pool must not cap the per-host one", transport.MaxIdleConns)
+	}
+	if fallback.Timeout != time.Second+500*time.Millisecond {
+		t.Fatalf("fallback timeout = %v, want the call timeout plus slack", fallback.Timeout)
 	}
 }
 
-// An explicitly configured client is still honoured verbatim.
+// An injected wire client is used as given, and Engine.Close leaves it
+// open: it belongs to the caller (a fleet shares one across units).
 func TestConfiguredClientNotReplaced(t *testing.T) {
-	custom := httpx.NewClient(time.Second)
+	_, rel := startRelease(t, "1.0", service.FaultPlan{})
+	custom := wire.NewClient(wire.Options{})
+	defer custom.Close()
 	e, err := New(Config{
-		Releases:     []Endpoint{{Version: "1.0", URL: "http://a.invalid"}},
+		Releases:     []Endpoint{rel},
 		InitialPhase: PhaseNewOnly,
-		HTTP:         custom,
+		Wire:         custom,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() { _ = e.Close() }()
-	if e.client != custom {
-		t.Fatal("configured HTTP client was replaced")
+	if e.wire != custom || e.ownsWire {
+		t.Fatal("configured wire client was replaced or claimed")
 	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := custom.PostXML(context.Background(), rel.URL, soap.ContentType, addEnvelope(t), httpx.NoRetry); err != nil {
+		t.Fatalf("Engine.Close closed the injected wire client: %v", err)
+	}
+}
+
+// A TLS release is served end to end through the one wire client: its
+// fallback carries both the demands and the health probes.
+func TestTLSReleaseThroughWireFallback(t *testing.T) {
+	rel, err := service.New(service.DemoContract("1.0"), service.DemoBehaviours(), service.FaultPlan{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewTLSServer(rel.Handler())
+	defer ts.Close()
+	client := wire.NewClient(wire.Options{Fallback: ts.Client()})
+	defer client.Close()
+	e, proxy := startEngine(t, Config{
+		Releases:     []Endpoint{{Version: "1.0", URL: ts.URL}},
+		InitialPhase: PhaseNewOnly,
+		Wire:         client,
+	})
+	out, err := callAdd(t, proxy.URL, 20, 22)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Sum != 42 {
+		t.Fatalf("sum = %d", out.Sum)
+	}
+	health := e.CheckHealth(context.Background())
+	if len(health) != 1 || !health[0].Up {
+		t.Fatalf("health = %+v, want the TLS release up", health)
+	}
+	if rel.Calls() != 1 {
+		t.Fatalf("release served %d calls, want 1", rel.Calls())
+	}
+}
+
+// addEnvelope is a SOAP add demand.
+func addEnvelope(t *testing.T) []byte {
+	t.Helper()
+	env, err := soap.Envelope(service.AddRequest{A: 1, B: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return env
 }
 
 func fetchWSDL(t *testing.T, e *Engine, mutate func(*http.Request)) string {

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"wsupgrade/internal/adjudicate"
+	"wsupgrade/internal/httpx"
 	"wsupgrade/internal/soap"
 )
 
@@ -61,9 +62,17 @@ func targets(n int) []Endpoint {
 	return eps
 }
 
+// postVia binds httpx.PostXML to a net/http client: the dispatcher's
+// release-call transport over a stub or live round tripper.
+func postVia(client *http.Client) PostFunc {
+	return func(ctx context.Context, url, contentType string, body []byte, policy httpx.RetryPolicy) (httpx.Result, error) {
+		return httpx.PostXML(ctx, client, url, contentType, body, policy)
+	}
+}
+
 func newStubDispatcher(tr http.RoundTripper, onOutcome func(Outcome)) *Dispatcher {
 	return New(Config{
-		Client:    &http.Client{Transport: tr},
+		Post:      postVia(&http.Client{Transport: tr}),
 		OnOutcome: onOutcome,
 	})
 }
@@ -153,9 +162,9 @@ func TestDoSequentialShortCircuits(t *testing.T) {
 }
 
 func TestDoNoResponsesIsUnavailable(t *testing.T) {
-	d := New(Config{Client: &http.Client{Transport: &stubTransport{
+	d := New(Config{Post: postVia(&http.Client{Transport: &stubTransport{
 		resp: okEnvelope(), delay: time.Hour,
-	}}})
+	}})})
 	defer d.Close()
 	req := baseRequest(targets(2), ModeReliability)
 	req.Timeout = 30 * time.Millisecond
@@ -172,9 +181,9 @@ func TestDoNoResponsesIsUnavailable(t *testing.T) {
 func TestDoConsumerCancelAbortsInFlight(t *testing.T) {
 	outcomes := make(chan Outcome, 1)
 	d := New(Config{
-		Client: &http.Client{Transport: &stubTransport{
+		Post: postVia(&http.Client{Transport: &stubTransport{
 			resp: okEnvelope(), delay: time.Hour,
-		}},
+		}}),
 		OnOutcome: func(o Outcome) { outcomes <- Outcome{ConsumerGone: o.ConsumerGone} },
 	})
 	defer d.Close()
@@ -222,7 +231,7 @@ func TestDoEarlyDeliveryDetachesFromConsumer(t *testing.T) {
 	})
 	outcomes := make(chan Outcome, 1)
 	d := New(Config{
-		Client: &http.Client{Transport: tr},
+		Post: postVia(&http.Client{Transport: tr}),
 		OnOutcome: func(o Outcome) {
 			n := 0
 			for _, r := range o.Replies {
@@ -278,7 +287,7 @@ func TestDoAgainstLiveServerHonoursDeadline(t *testing.T) {
 	}))
 	defer srv.Close()
 	defer close(release)
-	d := New(Config{Client: srv.Client()})
+	d := New(Config{Post: postVia(srv.Client())})
 	defer d.Close()
 	req := baseRequest([]Endpoint{{Version: "1.0", URL: srv.URL}}, ModeReliability)
 	req.Timeout = 50 * time.Millisecond

@@ -36,7 +36,6 @@ import (
 
 	"wsupgrade/internal/core"
 	"wsupgrade/internal/events"
-	"wsupgrade/internal/httpx"
 	"wsupgrade/internal/journal"
 	"wsupgrade/internal/lifecycle"
 	"wsupgrade/internal/protocol/jsoncodec"
@@ -72,8 +71,9 @@ type UnitConfig struct {
 	// "json". It is a convenience over Engine.Codec, which wins when
 	// both are set.
 	Protocol string
-	// Engine is the unit's middleware configuration. When Engine.HTTP
-	// is nil the unit shares the fleet's pooled release transport.
+	// Engine is the unit's middleware configuration. When Engine.Wire
+	// is nil the unit shares the fleet's wire client; a unit's own
+	// Engine.Wire is used as given and stays the caller's to close.
 	Engine core.Config
 }
 
@@ -81,11 +81,6 @@ type UnitConfig struct {
 type Config struct {
 	// Units lists the hosted upgrade units. At least one.
 	Units []UnitConfig
-	// HTTP optionally overrides the shared release-side transport with a
-	// net/http client for every unit that does not bring its own. The
-	// default is one shared wire client (see internal/wire): per-endpoint
-	// persistent connection pools spanning all units.
-	HTTP *http.Client
 	// AdminToken, when set, guards the management surface: every
 	// /fleet/ request except the read-only /fleet/healthz must carry it
 	// ("Authorization: Bearer <token>" or a "token" query parameter —
@@ -130,9 +125,7 @@ type Fleet struct {
 	byName     map[string]*Unit
 	byHost     map[string]*Unit
 	byService  map[string]*Unit
-	client     *http.Client // shared net/http transport; nil unless Config.HTTP is set
-	wire       *wire.Client // shared wire transport; nil when Config.HTTP is set
-	fallback   *http.Client // the wire client's pooled https/exotic fallback, fleet-owned
+	wire       *wire.Client // the release transport shared by every unit without its own
 	admin      http.Handler
 	adminToken string
 
@@ -158,10 +151,9 @@ func New(cfg Config) (*Fleet, error) {
 		adminToken: cfg.AdminToken,
 	}
 
-	// One release-side transport for the whole fleet: with Config.HTTP a
-	// shared net/http client; by default a shared wire client whose
-	// per-endpoint pools span all units (N units must not each hoard
-	// idle connections). Exchange deadlines are backstopped by the
+	// One release-side transport for the whole fleet: a wire client
+	// whose per-endpoint pools span all units (N units must not each
+	// hoard idle connections). Exchange deadlines are backstopped by the
 	// slowest unit's timeout.
 	maxTimeout := time.Duration(0)
 	for _, u := range cfg.Units {
@@ -173,22 +165,7 @@ func New(cfg Config) (*Fleet, error) {
 			maxTimeout = t
 		}
 	}
-	if cfg.HTTP != nil {
-		f.client = cfg.HTTP
-	} else {
-		totalReleases := 0
-		for _, u := range cfg.Units {
-			totalReleases += len(u.Engine.Releases)
-		}
-		// The shared wire client's fallback is a pooled net/http client
-		// sized across all units, so https release endpoints keep their
-		// per-host idle pools instead of starving on http.DefaultClient.
-		f.fallback = httpx.NewPooledClient(maxTimeout+500*time.Millisecond, totalReleases)
-		f.wire = wire.NewClient(wire.Options{
-			Timeout:  maxTimeout + 500*time.Millisecond,
-			Fallback: f.fallback,
-		})
-	}
+	f.wire = wire.NewClient(wire.Options{Timeout: maxTimeout + 500*time.Millisecond})
 
 	for _, uc := range cfg.Units {
 		if uc.Name == "" || strings.ContainsRune(uc.Name, '/') || reservedNames[uc.Name] {
@@ -211,14 +188,7 @@ func New(cfg Config) (*Fleet, error) {
 				return nil, fmt.Errorf("%w: unit %q: unknown protocol %q", ErrBadConfig, uc.Name, uc.Protocol)
 			}
 		}
-		switch {
-		case ecfg.HTTP != nil || ecfg.UseNetHTTP:
-			// The unit brings (or forces) its own net/http transport.
-		case f.client != nil:
-			ecfg.HTTP = f.client
-		case ecfg.Wire == nil && ecfg.Dial == nil:
-			// A unit with its own Dial seam builds its own wire client;
-			// everyone else shares the fleet-wide pool.
+		if ecfg.Wire == nil {
 			ecfg.Wire = f.wire
 		}
 		engine, err := core.New(ecfg)
@@ -279,12 +249,7 @@ func (f *Fleet) Close() error {
 			firstErr = err
 		}
 	}
-	if f.wire != nil {
-		_ = f.wire.Close()
-	}
-	if f.fallback != nil {
-		f.fallback.CloseIdleConnections()
-	}
+	_ = f.wire.Close()
 	return firstErr
 }
 

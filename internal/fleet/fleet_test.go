@@ -5,19 +5,23 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"wsupgrade/internal/bayes"
 	"wsupgrade/internal/core"
+	"wsupgrade/internal/httpx"
 	"wsupgrade/internal/oracle"
 	"wsupgrade/internal/registry"
 	"wsupgrade/internal/service"
 	"wsupgrade/internal/soap"
 	"wsupgrade/internal/stats"
+	"wsupgrade/internal/wire"
 )
 
 // startRelease boots one live fault-injected release.
@@ -229,19 +233,54 @@ func TestSharedTransportAcrossUnits(t *testing.T) {
 	}
 }
 
-// A fleet configured with an explicit net/http client hands it to every
-// unit that does not bring its own — the TLS/proxy escape hatch.
-func TestSharedNetHTTPTransport(t *testing.T) {
-	shared := &http.Client{Timeout: 5 * time.Second}
-	f, ts := twoUnitFleet(t, func(cfg *Config) { cfg.HTTP = shared })
-	if f.wire != nil {
-		t.Fatal("explicit HTTP config still built a wire client")
+// A unit that brings its own Engine.Wire keeps it: the fleet's shared
+// client carries only the other units' traffic, and Fleet.Close leaves
+// the unit's client open for its owner.
+func TestUnitOwnWireNotOverridden(t *testing.T) {
+	_, f0 := startRelease(t, "1.0", service.FaultPlan{})
+	_, f1 := startRelease(t, "1.1", service.FaultPlan{})
+	_, h0 := startRelease(t, "1.0", service.FaultPlan{})
+	_, h1 := startRelease(t, "1.1", service.FaultPlan{})
+	var dials atomic.Int64
+	own := wire.NewClient(wire.Options{Dial: func(ctx context.Context, network, addr string) (net.Conn, error) {
+		dials.Add(1)
+		var d net.Dialer
+		return d.DialContext(ctx, network, addr)
+	}})
+	defer own.Close()
+	f, err := New(Config{Units: []UnitConfig{
+		{Name: "flights", Engine: core.Config{
+			Releases: []core.Endpoint{f0, f1}, Oracle: oracle.Header{}, Wire: own}},
+		{Name: "hotels", Engine: core.Config{
+			Releases: []core.Endpoint{h0, h1}, Oracle: oracle.Header{}}},
+	}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if f.client != shared {
-		t.Fatal("shared client replaced")
-	}
+	ts := httptest.NewServer(f)
 	if _, err := callUnit(t, ts.URL, "flights", 1, 2); err != nil {
 		t.Fatal(err)
+	}
+	if dials.Load() == 0 {
+		t.Fatal("flights did not dispatch over its own wire client")
+	}
+	before := dials.Load()
+	if _, err := callUnit(t, ts.URL, "hotels", 1, 2); err != nil {
+		t.Fatal(err)
+	}
+	if dials.Load() != before {
+		t.Fatal("hotels dispatched over flights' wire client instead of the fleet's")
+	}
+	ts.Close()
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	env, err := soap.Envelope(service.AddRequest{A: 1, B: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := own.PostXML(context.Background(), f0.URL, soap.ContentType, env, httpx.NoRetry); err != nil {
+		t.Fatalf("Fleet.Close closed the unit's own wire client: %v", err)
 	}
 }
 

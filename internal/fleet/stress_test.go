@@ -26,6 +26,7 @@ import (
 	"wsupgrade/internal/oracle"
 	"wsupgrade/internal/service"
 	"wsupgrade/internal/soap"
+	"wsupgrade/internal/wire"
 )
 
 // stubTransport answers every release call in process.
@@ -49,7 +50,10 @@ func TestManagementVersusFleetDispatchStress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stub := &http.Client{Transport: &stubTransport{resp: respEnv}}
+	// The stub answers over the wire client's net/http fallback, which
+	// serves every https:// release.
+	stub := wire.NewClient(wire.Options{Fallback: &http.Client{Transport: &stubTransport{resp: respEnv}}})
+	defer stub.Close()
 
 	const unitCount = 3
 	units := make([]UnitConfig, unitCount)
@@ -60,12 +64,12 @@ func TestManagementVersusFleetDispatchStress(t *testing.T) {
 			Name: fmt.Sprintf("unit%d", i),
 			Engine: core.Config{
 				Releases: []core.Endpoint{
-					{Version: "1.0", URL: fmt.Sprintf("http://u%d-old.invalid", i)},
-					{Version: "1.1", URL: fmt.Sprintf("http://u%d-new.invalid", i)},
+					{Version: "1.0", URL: fmt.Sprintf("https://u%d-old.invalid", i)},
+					{Version: "1.1", URL: fmt.Sprintf("https://u%d-new.invalid", i)},
 				},
 				Oracle:  oracle.FaultOnly{},
 				Monitor: monitors[i],
-				HTTP:    stub,
+				Wire:    stub,
 			},
 		}
 	}
@@ -96,7 +100,7 @@ func TestManagementVersusFleetDispatchStress(t *testing.T) {
 				return
 			}
 			e := unit.Engine()
-			extra := core.Endpoint{Version: "1.2", URL: fmt.Sprintf("http://u%d-extra.invalid", i)}
+			extra := core.Endpoint{Version: "1.2", URL: fmt.Sprintf("https://u%d-extra.invalid", i)}
 			phases := []string{"observation", "old-only", "new-only", "parallel"}
 			modes := []string{"responsiveness", "dynamic", "sequential", "reliability"}
 			client := &http.Client{Timeout: 5 * time.Second}

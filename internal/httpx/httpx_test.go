@@ -127,50 +127,3 @@ func TestPolicyValidation(t *testing.T) {
 		t.Fatal("invalid policy accepted by PostXML")
 	}
 }
-
-func TestInstrumentedObserves(t *testing.T) {
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		_, _ = w.Write([]byte("hi"))
-	}))
-	defer ts.Close()
-	var observed atomic.Int32
-	var status atomic.Int32
-	client := &http.Client{Transport: &Instrumented{
-		Observe: func(req *http.Request, st int, latency time.Duration, err error) {
-			observed.Add(1)
-			status.Store(int32(st))
-			if latency < 0 {
-				t.Error("negative latency")
-			}
-		},
-	}}
-	resp, err := client.Get(ts.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if observed.Load() != 1 || status.Load() != 200 {
-		t.Fatalf("observed=%d status=%d", observed.Load(), status.Load())
-	}
-}
-
-func TestInstrumentedObservesErrors(t *testing.T) {
-	var sawErr atomic.Bool
-	client := &http.Client{
-		Timeout: 200 * time.Millisecond,
-		Transport: &Instrumented{
-			Observe: func(req *http.Request, st int, latency time.Duration, err error) {
-				if err != nil && st == 0 {
-					sawErr.Store(true)
-				}
-			},
-		},
-	}
-	_, err := client.Get("http://127.0.0.1:1")
-	if err == nil {
-		t.Fatal("dead endpoint succeeded")
-	}
-	if !sawErr.Load() {
-		t.Fatal("error exchange not observed")
-	}
-}

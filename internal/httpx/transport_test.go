@@ -116,13 +116,24 @@ func TestReadBounded(t *testing.T) {
 // (2 idle conns per host) fails this: the second burst re-dials most of
 // its connections.
 func TestPooledClientReusesConnections(t *testing.T) {
+	const burst = 8
+	// The cold burst's requests wait in the handler until all of them
+	// have arrived, so it opens one connection per request however the
+	// goroutines are scheduled, and the warm burst finds burst idle ones.
+	var arrived atomic.Int32
+	allArrived := make(chan struct{})
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch n := arrived.Add(1); {
+		case n == burst:
+			close(allArrived)
+		case n < burst:
+			<-allArrived
+		}
 		_, _ = w.Write([]byte("<ok/>"))
 	}))
 	defer ts.Close()
 	client := NewPooledClient(5*time.Second, 1)
 
-	const burst = 8
 	round := func() int32 {
 		var dialed atomic.Int32
 		var wg sync.WaitGroup

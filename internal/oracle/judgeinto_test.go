@@ -63,19 +63,25 @@ func corpusOracles(t testing.TB) []Oracle {
 	}
 }
 
+// judge is the allocating form of JudgeInto: a nil dst grows a fresh
+// verdict slice.
+func judge(o Oracle, op string, replies []adjudicate.Reply) []bool {
+	return o.JudgeInto(nil, op, replies)
+}
+
 // TestJudgeIntoAgreesWithJudge holds every oracle to verdict-for-verdict
-// agreement between the allocating Judge and the caller-buffer JudgeInto
-// across the corpus, for ample, exact, tight and nil destination buffers.
+// agreement between the allocating nil-dst form and the caller-buffer
+// form of JudgeInto across the corpus, for ample, exact, tight and
+// reused destination buffers.
 func TestJudgeIntoAgreesWithJudge(t *testing.T) {
 	for _, o := range corpusOracles(t) {
 		for _, tc := range corpus {
-			want := o.Judge("op", tc.replies)
+			want := judge(o, "op", tc.replies)
 			if len(want) != len(tc.replies) {
-				t.Fatalf("%s/%s: Judge returned %d verdicts for %d replies",
+				t.Fatalf("%s/%s: nil-dst JudgeInto returned %d verdicts for %d replies",
 					o.Name(), tc.name, len(want), len(tc.replies))
 			}
 			for _, dst := range [][]bool{
-				nil,
 				make([]bool, 0, len(tc.replies)),
 				make([]bool, len(tc.replies)),
 				{true, true, true, true, true, true, true, true}, // stale contents must be overwritten
@@ -88,7 +94,7 @@ func TestJudgeIntoAgreesWithJudge(t *testing.T) {
 				}
 				for i := range want {
 					if got[i] != want[i] {
-						t.Fatalf("%s/%s: verdict %d = %v, Judge said %v (dst cap %d)",
+						t.Fatalf("%s/%s: verdict %d = %v, nil-dst JudgeInto said %v (dst cap %d)",
 							o.Name(), tc.name, i, got[i], want[i], cap(dst))
 					}
 				}

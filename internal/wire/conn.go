@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/textproto"
@@ -42,6 +43,9 @@ func defaultDial(ctx context.Context, network, addr string) (net.Conn, error) {
 type pool struct {
 	c    *Client
 	addr string // dial target host:port
+	// proxied routes the endpoint through the client's Fallback (see
+	// Client.proxied); the fields below then go unused.
+	proxied bool
 	// prefix is the request head through "Content-Length: " — everything
 	// that never changes per call for this endpoint: method, target,
 	// Host, User-Agent and the Content-Type the pool was built with.
@@ -433,6 +437,7 @@ func (c *conn) readResponse(maxBytes int64) (status int, body *bufpool.Buf, hdr 
 	c.sawStatusLine = false
 	c.lineBudget = maxHeaderBytes
 	var proto11, connClose, chunked bool
+	var transferEncodings int
 	contentLength := int64(-1)
 	for interim := 0; ; interim++ {
 		// Status line; 1xx interim responses are skipped.
@@ -445,11 +450,16 @@ func (c *conn) readResponse(maxBytes int64) (status int, body *bufpool.Buf, hdr 
 			return 0, nil, nil, false, err
 		}
 		c.sawStatusLine = true
+		if status == http.StatusSwitchingProtocols {
+			// Only an Upgrade request may be answered with 101, and
+			// dispatch never sends one.
+			return 0, nil, nil, false, fmt.Errorf("wire: unexpected 101 Switching Protocols")
+		}
 
 		// Header block: accumulated raw for the cache comparison, with
 		// the three framing-relevant headers parsed on the way.
 		hdrRaw := c.hdrBuf[:0]
-		connClose, chunked, contentLength = false, false, int64(-1)
+		connClose, chunked, transferEncodings, contentLength = false, false, 0, int64(-1)
 		for {
 			line, err := c.readLine()
 			if err != nil {
@@ -466,13 +476,15 @@ func (c *conn) readResponse(maxBytes int64) (status int, body *bufpool.Buf, hdr 
 			}
 			switch {
 			case asciiEqualFold(key, "content-length"):
-				n, perr := strconv.ParseInt(string(bytes.TrimSpace(val)), 10, 64)
-				if perr != nil || n < 0 {
+				// Repeats must agree, as net/http demands.
+				n, ok := parseUint(bytes.Trim(val, " \t"), 10)
+				if !ok || (contentLength >= 0 && n != contentLength) {
 					return 0, nil, nil, false, fmt.Errorf("wire: bad Content-Length %q", val)
 				}
 				contentLength = n
 			case asciiEqualFold(key, "transfer-encoding"):
-				chunked = asciiEqualFold(bytes.TrimSpace(val), "chunked")
+				transferEncodings++
+				chunked = asciiEqualFold(bytes.Trim(val, " \t"), "chunked")
 			case asciiEqualFold(key, "connection"):
 				connClose = asciiEqualFold(bytes.TrimSpace(val), "close")
 			}
@@ -480,9 +492,21 @@ func (c *conn) readResponse(maxBytes int64) (status int, body *bufpool.Buf, hdr 
 		if cap(hdrRaw) <= maxConnScratch {
 			c.hdrBuf = hdrRaw[:0]
 		}
+		// Transfer-Encoding means nothing in HTTP/1.0; in HTTP/1.1 the
+		// only coding a release may apply is a single "chunked".
+		if !proto11 {
+			chunked = false
+		} else if transferEncodings > 1 || (transferEncodings == 1 && !chunked) {
+			return 0, nil, nil, false, fmt.Errorf("wire: unsupported Transfer-Encoding")
+		}
 		if status >= 200 {
-			hdr = c.header(hdrRaw)
+			if hdr = c.header(hdrRaw); hdr == nil {
+				return 0, nil, nil, false, errMalformedHeader
+			}
 			break
+		}
+		if !validHeaderBlock(hdrRaw) {
+			return 0, nil, nil, false, errMalformedHeader
 		}
 		if interim >= maxInterimResponses {
 			return 0, nil, nil, false, fmt.Errorf("wire: too many interim responses")
@@ -541,10 +565,14 @@ func (c *conn) readResponse(maxBytes int64) (status int, body *bufpool.Buf, hdr 
 // whenever the raw header block is byte-identical to the previous
 // exchange's — the steady state on a release connection, where only the
 // payload varies call to call. The returned map is therefore shared and
-// read-only by contract.
+// read-only by contract. A block net/http would reject yields nil; only
+// a new block needs that check.
 func (c *conn) header(raw []byte) http.Header {
 	if c.lastHdr != nil && bytes.Equal(raw, c.lastRaw) {
 		return c.lastHdr
+	}
+	if !validHeaderBlock(raw) {
+		return nil
 	}
 	hdr := make(http.Header)
 	rest := raw
@@ -560,7 +588,7 @@ func (c *conn) header(raw []byte) http.Header {
 			continue
 		}
 		ck := textproto.CanonicalMIMEHeaderKey(string(key))
-		hdr[ck] = append(hdr[ck], string(bytes.TrimSpace(val)))
+		hdr[ck] = append(hdr[ck], string(bytes.Trim(val, " \t")))
 	}
 	c.lastRaw = append(c.lastRaw[:0], raw...)
 	c.lastHdr = hdr
@@ -580,11 +608,12 @@ func (c *conn) readChunkedBody(max int64) (*bufpool.Buf, error) {
 			b.Release()
 			return nil, fmt.Errorf("wire: reading chunk size: %w", err)
 		}
+		line = bytes.TrimRight(line, " \t\r\n")
 		if i := bytes.IndexByte(line, ';'); i >= 0 {
 			line = line[:i] // chunk extensions are ignored
 		}
-		size, err := strconv.ParseInt(string(bytes.TrimSpace(line)), 16, 63)
-		if err != nil || size < 0 {
+		size, ok := parseUint(line, 16)
+		if !ok || len(line) > 16 {
 			b.Release()
 			return nil, fmt.Errorf("wire: bad chunk size %q", line)
 		}
@@ -601,13 +630,23 @@ func (c *conn) readChunkedBody(max int64) (*bufpool.Buf, error) {
 			b.Release()
 			return nil, fmt.Errorf("wire: reading chunk: %w", err)
 		}
-		crlf, err := c.readLine()
-		if err != nil || len(crlf) != 0 {
+		if crlf, err := c.br.Peek(2); err != nil || crlf[0] != '\r' || crlf[1] != '\n' {
 			b.Release()
 			return nil, fmt.Errorf("wire: missing chunk terminator")
 		}
+		_, _ = c.br.Discard(2)
 	}
-	// Trailers (discarded) run to the blank line.
+	// Trailers (validated, discarded) run to the blank line. As in
+	// net/http, a CRLF ends the body at once, and any other trailer
+	// section must reach a CRLF CRLF within the read buffer.
+	if p, _ := c.br.Peek(2); string(p) == "\r\n" {
+		_, _ = c.br.Discard(2)
+		return b, nil
+	}
+	if !upcomingDoubleCRLF(c.br) {
+		b.Release()
+		return nil, fmt.Errorf("wire: unterminated trailer section")
+	}
 	for {
 		line, err := c.readLine()
 		if err != nil {
@@ -617,8 +656,28 @@ func (c *conn) readChunkedBody(max int64) (*bufpool.Buf, error) {
 		if len(line) == 0 {
 			break
 		}
+		if key, val, ok := cutHeaderLine(line); !ok || !validHeaderLine(key, val) {
+			b.Release()
+			return nil, errMalformedHeader
+		}
 	}
 	return b, nil
+}
+
+// upcomingDoubleCRLF reports whether a CRLF CRLF arrives within r's
+// buffer. It peeks one byte further at a time and stops at the first
+// one, so on a keep-alive connection it never waits for bytes the peer
+// has no reason to send (net/http's seeUpcomingDoubleCRLF).
+func upcomingDoubleCRLF(r *bufio.Reader) bool {
+	for n := 4; ; n++ {
+		p, err := r.Peek(n)
+		if bytes.HasSuffix(p, []byte("\r\n\r\n")) {
+			return true
+		}
+		if err != nil {
+			return false
+		}
+	}
 }
 
 func grow(b []byte, n int) []byte {
@@ -630,7 +689,8 @@ func grow(b []byte, n int) []byte {
 	return nb
 }
 
-// parseStatusLine parses "HTTP/1.x NNN reason".
+// parseStatusLine parses "HTTP/1.x NNN reason" or "HTTP/1.x NNN", with
+// NNN in 100-999.
 func parseStatusLine(line []byte) (status int, proto11 bool, err error) {
 	switch {
 	case bytes.HasPrefix(line, []byte("HTTP/1.1 ")):
@@ -639,8 +699,8 @@ func parseStatusLine(line []byte) (status int, proto11 bool, err error) {
 	default:
 		return 0, false, fmt.Errorf("wire: malformed status line %q", line)
 	}
-	rest := line[9:]
-	if len(rest) < 3 {
+	rest := bytes.TrimLeft(line[9:], " ")
+	if len(rest) < 3 || (len(rest) > 3 && rest[3] != ' ') || rest[0] == '0' {
 		return 0, false, fmt.Errorf("wire: malformed status line %q", line)
 	}
 	for _, d := range rest[:3] {
@@ -652,6 +712,31 @@ func parseStatusLine(line []byte) (status int, proto11 bool, err error) {
 	return status, proto11, nil
 }
 
+// parseUint parses a non-empty run of ASCII digits in base 10 or 16 —
+// no sign, no prefix, as net/http reads Content-Length values and chunk
+// sizes. ok is false for any other byte or a value past math.MaxInt64.
+func parseUint(b []byte, base int64) (n int64, ok bool) {
+	if len(b) == 0 {
+		return 0, false
+	}
+	for _, c := range b {
+		var d int64
+		switch lc := c | 0x20; {
+		case '0' <= c && c <= '9':
+			d = int64(c - '0')
+		case base == 16 && 'a' <= lc && lc <= 'f':
+			d = int64(lc-'a') + 10
+		default:
+			return 0, false
+		}
+		if n > (math.MaxInt64-d)/base {
+			return 0, false
+		}
+		n = n*base + d
+	}
+	return n, true
+}
+
 // cutHeaderLine splits "Key: value".
 func cutHeaderLine(line []byte) (key, val []byte, ok bool) {
 	i := bytes.IndexByte(line, ':')
@@ -660,6 +745,66 @@ func cutHeaderLine(line []byte) (key, val []byte, ok bool) {
 	}
 	return line[:i], line[i+1:], true
 }
+
+// errMalformedHeader reports a header or trailer line net/http's reader
+// rejects.
+var errMalformedHeader = errors.New("wire: malformed header line")
+
+// validHeaderBlock checks every line of a raw header block (lines
+// joined by '\n', as readResponse accumulates them) with
+// validHeaderLine.
+func validHeaderBlock(raw []byte) bool {
+	for len(raw) > 0 {
+		line := raw
+		if i := bytes.IndexByte(raw, '\n'); i >= 0 {
+			line, raw = raw[:i], raw[i+1:]
+		} else {
+			raw = nil
+		}
+		key, val, ok := cutHeaderLine(line)
+		if !ok || !validHeaderLine(key, val) {
+			return false
+		}
+	}
+	return true
+}
+
+// validHeaderLine applies net/http's field syntax to one "key: value"
+// line. The key is token bytes, or spaces after the first byte (net/http
+// tolerates "Key : v" but treats a line led by whitespace as an obs-fold
+// continuation, which wire does not support). The value, trailing SP
+// and HTAB aside, is visible ASCII, SP, HTAB or obs-text.
+func validHeaderLine(key, val []byte) bool {
+	if key[0] == ' ' {
+		return false
+	}
+	for _, c := range key {
+		if !tchar[c] && c != ' ' {
+			return false
+		}
+	}
+	for _, c := range bytes.TrimRight(val, " \t") {
+		if c < ' ' && c != '\t' || c == 0x7f {
+			return false
+		}
+	}
+	return true
+}
+
+// tchar marks the RFC 9110 token bytes a header field name may hold.
+var tchar = func() (t [256]bool) {
+	for c := '0'; c <= '9'; c++ {
+		t[c] = true
+	}
+	for c := 'a'; c <= 'z'; c++ {
+		t[c] = true
+		t[c-'a'+'A'] = true
+	}
+	for _, c := range "!#$%&'*+-.^_`|~" {
+		t[c] = true
+	}
+	return t
+}()
 
 // asciiEqualFold reports ASCII case-insensitive equality of b against
 // the lower-case reference string, without allocating.

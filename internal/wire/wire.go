@@ -30,9 +30,11 @@
 // Retry, backoff and response-size semantics are httpx.PostXML's,
 // enforced by sharing the httpx.RetryPolicy implementation and a
 // conformance suite run against both transports. URLs the wire client
-// does not speak natively (anything but plain http://) are delegated to
-// the Fallback net/http client, which also remains the configuration
-// seam for TLS, proxies and other exotic deployments.
+// does not speak natively — anything but plain http://, and plain
+// http:// endpoints a caller-supplied fallback's transport would route
+// through a proxy — are delegated to the Fallback net/http client, which
+// remains the configuration seam for TLS, proxies and other exotic
+// deployments.
 package wire
 
 import (
@@ -76,7 +78,11 @@ type Options struct {
 	// client's lifetime. Default 90 s; negative disables reaping.
 	IdleTimeout time.Duration
 	// Fallback handles URLs this client does not speak natively
-	// (https, proxies); nil means http.DefaultClient.
+	// (https, and http:// endpoints a supplied Fallback's transport
+	// proxies). Nil means the client builds and owns an
+	// httpx.NewPooledClient, which Close releases and whose proxy
+	// settings never divert http:// endpoints; a supplied Fallback stays
+	// the caller's.
 	Fallback *http.Client
 }
 
@@ -84,6 +90,7 @@ type Options struct {
 // safe for concurrent use. Close shuts down all pooled connections.
 type Client struct {
 	opts        Options
+	ownFallback bool     // opts.Fallback was built here; Close releases it
 	pools       sync.Map // endpoint URL string → *pool
 	closed      atomic.Bool
 	janitorOnce sync.Once
@@ -101,11 +108,25 @@ func NewClient(opts Options) *Client {
 	if opts.IdleTimeout == 0 {
 		opts.IdleTimeout = 90 * time.Second
 	}
-	return &Client{opts: opts, janitorDone: make(chan struct{})}
+	c := &Client{janitorDone: make(chan struct{})}
+	if opts.Fallback == nil {
+		// A dedicated pooled transport: a TLS release must keep a
+		// per-host idle pool, not starve on http.DefaultTransport's 2.
+		opts.Fallback = httpx.NewPooledClient(opts.Timeout, 0)
+		c.ownFallback = true
+	}
+	c.opts = opts
+	return c
 }
 
-// Close closes every pooled connection. In-flight exchanges finish; the
-// connections they hold are closed on return instead of pooled.
+// Fallback returns the net/http client that serves the URLs this client
+// does not speak natively. It also suits low-rate management traffic to
+// the same endpoints, such as health probes.
+func (c *Client) Fallback() *http.Client { return c.opts.Fallback }
+
+// Close closes every pooled connection, and the fallback's idle ones
+// when the client built its fallback itself. In-flight exchanges finish;
+// the connections they hold are closed on return instead of pooled.
 func (c *Client) Close() error {
 	if c.closed.CompareAndSwap(false, true) {
 		close(c.janitorDone)
@@ -114,6 +135,9 @@ func (c *Client) Close() error {
 		v.(*pool).close()
 		return true
 	})
+	if c.ownFallback {
+		c.opts.Fallback.CloseIdleConnections()
+	}
 	return nil
 }
 
@@ -149,17 +173,11 @@ func (c *Client) startJanitor() {
 	})
 }
 
-func (c *Client) fallback() *http.Client {
-	if c.opts.Fallback != nil {
-		return c.opts.Fallback
-	}
-	return http.DefaultClient
-}
-
 // PostXML posts an XML payload with httpx.PostXML's exact retry,
 // backoff and response-size semantics (see that function); the
 // conformance suite in this package asserts the equivalence. Non-http://
-// URLs are delegated to the Fallback client.
+// URLs, and http:// URLs a supplied Fallback's transport proxies, are
+// delegated to the Fallback client.
 //
 // Result.Header may be shared with subsequent results from the same
 // endpoint and must be treated as read-only.
@@ -171,7 +189,7 @@ func (c *Client) PostXML(ctx context.Context, rawURL, contentType string, body [
 		return httpx.Result{}, err
 	}
 	if !strings.HasPrefix(rawURL, "http://") {
-		return httpx.PostXML(ctx, c.fallback(), rawURL, contentType, body, policy)
+		return httpx.PostXML(ctx, c.opts.Fallback, rawURL, contentType, body, policy)
 	}
 	if c.closed.Load() {
 		return httpx.Result{}, ErrClosed
@@ -179,6 +197,9 @@ func (c *Client) PostXML(ctx context.Context, rawURL, contentType string, body [
 	p, err := c.pool(rawURL, contentType)
 	if err != nil {
 		return httpx.Result{}, fmt.Errorf("wire: building request: %w", err)
+	}
+	if p.proxied {
+		return httpx.PostXML(ctx, c.opts.Fallback, rawURL, contentType, body, policy)
 	}
 	maxBytes := policy.EffectiveMaxResponseBytes()
 	start := time.Now()
@@ -235,6 +256,7 @@ func (c *Client) pool(rawURL, contentType string) (*pool, error) {
 		return nil, fmt.Errorf("missing host in %q", rawURL)
 	}
 	p := newPool(c, u, contentType)
+	p.proxied = c.proxied(u)
 	if v, loaded := c.pools.LoadOrStore(rawURL, p); loaded {
 		return v.(*pool), nil
 	}
@@ -245,4 +267,27 @@ func (c *Client) pool(rawURL, contentType string) (*pool, error) {
 	}
 	c.startJanitor()
 	return p, nil
+}
+
+// proxied reports whether a caller-supplied fallback's transport would
+// send a request for u through a proxy. The wire client only dials
+// endpoints directly, so a proxied endpoint is served by the fallback
+// instead. The fallback built by NewClient is never consulted: its
+// environment-derived proxy (HTTP_PROXY) must not move http:// releases
+// off the wire path or past an Options.Dial stub. net/http never proxies
+// loopback hosts.
+func (c *Client) proxied(u *url.URL) bool {
+	if c.ownFallback {
+		return false
+	}
+	rt := c.opts.Fallback.Transport
+	if rt == nil {
+		rt = http.DefaultTransport
+	}
+	t, ok := rt.(*http.Transport)
+	if !ok || t.Proxy == nil {
+		return false
+	}
+	proxy, err := t.Proxy(&http.Request{Method: http.MethodPost, URL: u, Host: u.Host})
+	return err == nil && proxy != nil
 }

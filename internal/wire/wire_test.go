@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"net/http/httptest"
+	"net/url"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -314,5 +316,148 @@ func TestDialFuncSeam(t *testing.T) {
 	}
 	if dialed.Load() != 1 {
 		t.Fatalf("dialed %d times, want 1", dialed.Load())
+	}
+}
+
+// A plain http:// endpoint the Fallback's transport proxies is served by
+// the Fallback, so it goes through the proxy; with no proxy, or a Proxy
+// func that answers "direct", it stays on wire connections.
+func TestProxiedEndpointUsesFallback(t *testing.T) {
+	proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Host != "release.invalid" {
+			t.Errorf("proxied request for host %q", r.URL.Host)
+		}
+		_, _ = w.Write([]byte("<proxied/>"))
+	}))
+	defer proxy.Close()
+	proxyURL, err := url.Parse(proxy.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	release, _ := newCountingServer(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		_, _ = w.Write([]byte("<direct/>"))
+	}))
+	releaseAddr := strings.TrimPrefix(release.URL, "http://")
+
+	for _, tc := range []struct {
+		name      string
+		proxy     func(*http.Request) (*url.URL, error)
+		wantBody  string
+		wantDials int64
+	}{
+		{"proxied", http.ProxyURL(proxyURL), "<proxied/>", 0},
+		{"nil-proxy", nil, "<direct/>", 1},
+		{"direct", func(*http.Request) (*url.URL, error) { return nil, nil }, "<direct/>", 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var dials atomic.Int64
+			fallback := &http.Transport{Proxy: tc.proxy}
+			defer fallback.CloseIdleConnections()
+			c := NewClient(Options{
+				Dial: func(ctx context.Context, network, addr string) (net.Conn, error) {
+					dials.Add(1)
+					var d net.Dialer
+					return d.DialContext(ctx, network, releaseAddr)
+				},
+				Fallback: &http.Client{Transport: fallback},
+			})
+			defer c.Close()
+			for i := 0; i < 3; i++ {
+				res, err := c.PostXML(context.Background(), "http://release.invalid/svc", testCT, []byte("<in/>"), httpx.NoRetry)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if string(res.Body) != tc.wantBody {
+					t.Fatalf("body = %q, want %q", res.Body, tc.wantBody)
+				}
+				res.BodyBuf.Release()
+			}
+			if got := dials.Load(); got != tc.wantDials {
+				t.Fatalf("wire dialed %d times, want %d", got, tc.wantDials)
+			}
+		})
+	}
+}
+
+// The fallback NewClient builds is never asked about proxies, so an
+// environment proxy (its transport's ProxyFromEnvironment) cannot move
+// http:// endpoints off the wire path or past a Dial stub.
+func TestOwnedFallbackProxyIgnored(t *testing.T) {
+	proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		t.Errorf("request for %q went through the proxy", r.URL)
+	}))
+	defer proxy.Close()
+	proxyURL, err := url.Parse(proxy.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	release, _ := newCountingServer(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		_, _ = w.Write([]byte("<direct/>"))
+	}))
+	var dials atomic.Int64
+	c := NewClient(Options{Dial: func(ctx context.Context, network, addr string) (net.Conn, error) {
+		dials.Add(1)
+		var d net.Dialer
+		return d.DialContext(ctx, network, strings.TrimPrefix(release.URL, "http://"))
+	}})
+	defer c.Close()
+	c.Fallback().Transport.(*http.Transport).Proxy = http.ProxyURL(proxyURL)
+	res, err := c.PostXML(context.Background(), "http://release.invalid/svc", testCT, []byte("<in/>"), httpx.NoRetry)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer res.BodyBuf.Release()
+	if string(res.Body) != "<direct/>" || dials.Load() != 1 {
+		t.Fatalf("body %q after %d wire dials, want <direct/> after 1", res.Body, dials.Load())
+	}
+}
+
+// A chunked response with a trailer section, from a keep-alive server
+// that then waits for the next request, completes at once: the trailer
+// scan must not wait to fill the read buffer.
+func TestChunkedTrailersOnKeepAlive(t *testing.T) {
+	ts, cl := newCountingServer(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Trailer", "X-Checksum")
+		_, _ = w.Write([]byte("<ok/>"))
+		w.(http.Flusher).Flush()
+		w.Header().Set("X-Checksum", "42")
+	}))
+	c := NewClient(Options{Timeout: 5 * time.Second})
+	defer c.Close()
+	for i := 0; i < 3; i++ {
+		start := time.Now()
+		res, err := c.PostXML(context.Background(), ts.URL, testCT, []byte("<in/>"), httpx.NoRetry)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(res.Body) != "<ok/>" {
+			t.Fatalf("body = %q", res.Body)
+		}
+		res.BodyBuf.Release()
+		if d := time.Since(start); d > 2*time.Second {
+			t.Fatalf("call %d took %v", i, d)
+		}
+	}
+	if n := cl.accepts.Load(); n != 1 {
+		t.Fatalf("server accepted %d connections, want 1 (keep-alive)", n)
+	}
+}
+
+// A client that builds its own fallback owns it; one handed a Fallback
+// serves through it as given.
+func TestFallbackOwnership(t *testing.T) {
+	c := NewClient(Options{})
+	defer c.Close()
+	if c.Fallback() == nil || !c.ownFallback {
+		t.Fatal("no owned default fallback")
+	}
+	if _, ok := c.Fallback().Transport.(*http.Transport); !ok {
+		t.Fatalf("default fallback transport is %T, want a pooled *http.Transport", c.Fallback().Transport)
+	}
+	given := &http.Client{}
+	c2 := NewClient(Options{Fallback: given})
+	defer c2.Close()
+	if c2.Fallback() != given || c2.ownFallback {
+		t.Fatal("supplied fallback replaced or claimed")
 	}
 }
